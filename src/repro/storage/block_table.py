@@ -15,7 +15,10 @@ per created block, in creation order):
   replica insertion order, mirroring the ``Block.replicas`` dict) plus the
   matching liveness mask and creation times,
 * an access counter per block and an accumulated io-load column per server,
-  scattered into by the batched access path.
+  scattered into by the batched access path,
+* a per-server index ``{row: slot}`` of the healthy replicas each server
+  holds, so a reimage finds its victims without scanning the slot matrix
+  and destroying one replica needs no slot search.
 
 The companion of :class:`repro.cluster.fleet_state.FleetState` (the compute
 substrate) and :class:`repro.traces.matrix.TraceMatrix` (the utilization
@@ -31,7 +34,11 @@ exactly: a replica destroyed by a reimage keeps its slot (so later healthy
 listings preserve the dict-insertion order the scalar path produced), a
 replica re-added on a server whose old replica was destroyed reuses that
 slot (dict overwrite keeps the key position), and ``lost`` is set exactly
-when the last healthy replica dies and never cleared.  The per-object
+when the last healthy replica dies and never cleared.  The NameNode never
+re-adds a replica on a former holder (recovery excludes every server that
+ever held the block), so its stores append a fresh slot without searching
+(:meth:`BlockTable.append_replica`); only :meth:`BlockTable.add_replica`,
+behind the ``BlockView`` API, still looks for a slot to reuse.  The per-object
 :class:`~repro.storage.block.BlockView` API remains as a thin view over the
 rows, so a fixed seed produces bit-identical fig12/fig15/fig16 results
 through either the scalar or the columnar path.
@@ -39,7 +46,7 @@ through either the scalar or the columnar path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +99,6 @@ class BlockTable:
         capacity = INITIAL_ROW_CAPACITY
         self._ids: List[str] = []
         self._row_of: Dict[str, int] = {}
-        self._views: List[Optional[BlockView]] = []
 
         self._size_gb = np.zeros(capacity)
         self._target = np.zeros(capacity, dtype=np.int64)
@@ -107,6 +113,8 @@ class BlockTable:
         #: Accumulated secondary-I/O fraction per server, scattered into by
         #: the batched access path (one 0.05 increment per served access).
         self.io_load = np.zeros(len(self.server_ids))
+        #: Per server, ``{row: slot}`` of every healthy replica it holds.
+        self._healthy_on: List[Dict[int, int]] = [{} for _ in self.server_ids]
 
     # -- serialized form -----------------------------------------------------
 
@@ -114,8 +122,8 @@ class BlockTable:
         """The table as plain arrays/lists — its canonical serialized form.
 
         Columns are trimmed to the used prefix; :meth:`from_arrays` rebuilds
-        an exact equivalent (same rows, same slot order, same io load), with
-        the per-row :class:`BlockView` cache lazily repopulated.
+        an exact equivalent (same rows, same slot order, same io load, and
+        the per-server replica index rebuilt from the liveness mask).
         """
         n = self._n
         return {
@@ -151,7 +159,6 @@ class BlockTable:
         table._n = n
         table._ids = block_ids
         table._row_of = {bid: i for i, bid in enumerate(block_ids)}
-        table._views = [None] * n
 
         def column(name: str, dtype: type) -> np.ndarray:
             fresh = np.zeros(capacity, dtype=dtype)
@@ -178,6 +185,10 @@ class BlockTable:
                 arrays["replica_created"], dtype=float
             )
         table.io_load = np.array(arrays["io_load"], dtype=float)
+        rows, slots = np.nonzero(table._replica_healthy[:n])
+        servers = table._replica_servers[rows, slots]
+        for row, slot, server in zip(rows.tolist(), slots.tolist(), servers.tolist()):
+            table._healthy_on[server][row] = slot
         return table
 
     # -- shape ---------------------------------------------------------------
@@ -253,10 +264,6 @@ class BlockTable:
         """The block id stored in ``row``."""
         return self._ids[row]
 
-    def size_of(self, row: int) -> float:
-        """The block size in ``row``, as a plain float (hot-path helper)."""
-        return float(self._size_gb[row])
-
     def is_lost(self, row: int) -> bool:
         """The sticky lost flag of ``row`` (hot-path helper)."""
         return bool(self._lost[row])
@@ -274,12 +281,13 @@ class BlockTable:
         return self._row_of.get(block_id)
 
     def view(self, row: int) -> BlockView:
-        """The (cached) per-object view over ``row``."""
-        view = self._views[row]
-        if view is None:
-            view = BlockView(self, row)
-            self._views[row] = view
-        return view
+        """A per-object view over ``row``.
+
+        Views are not cached: they compare equal by table and row, and a
+        cache would tie the table into a reference cycle, so a discarded
+        table (with its slot matrices) would wait for the cycle collector.
+        """
+        return BlockView(self, row)
 
     # -- growth --------------------------------------------------------------
 
@@ -310,16 +318,18 @@ class BlockTable:
 
     def _grow_slots(self) -> None:
         capacity, slots = self._replica_servers.shape
-        extra = max(1, slots)
-        self._replica_servers = np.hstack(
-            [self._replica_servers, np.full((capacity, extra), -1, dtype=np.int64)]
-        )
-        self._replica_healthy = np.hstack(
-            [self._replica_healthy, np.zeros((capacity, extra), dtype=bool)]
-        )
-        self._replica_created = np.hstack(
-            [self._replica_created, np.zeros((capacity, extra))]
-        )
+        width = slots + max(1, slots)
+
+        def widened(matrix: np.ndarray, fill: object) -> np.ndarray:
+            # Copy into the wider matrix directly: a concatenation would
+            # hold a third, padding-sized array at the same time.
+            fresh = np.full((capacity, width), fill, dtype=matrix.dtype)
+            fresh[: self._n, :slots] = matrix[: self._n]
+            return fresh
+
+        self._replica_servers = widened(self._replica_servers, -1)
+        self._replica_healthy = widened(self._replica_healthy, False)
+        self._replica_created = widened(self._replica_created, 0.0)
 
     # -- mutations -----------------------------------------------------------
 
@@ -337,7 +347,6 @@ class BlockTable:
         self._n += 1
         self._ids.append(block_id)
         self._row_of[block_id] = row
-        self._views.append(None)
         self._size_gb[row] = size_gb
         self._target[row] = target_replication
         return row
@@ -350,32 +359,41 @@ class BlockTable:
         destroyed reuses that slot (a dict overwrite keeps the key position,
         so later healthy listings preserve the scalar iteration order).
 
-        Slots per row are few (the replication level), so the membership
-        scan runs as a plain Python loop — cheaper than numpy machinery at
-        this width, and this is the hottest write in the durability runs.
+        The reuse search scans the row's slots, which number as many as the
+        servers that ever held the block (dozens under reimage storms), so
+        the NameNode's stores go through :meth:`append_replica` instead.
+        """
+        if row in self._healthy_on[server_index]:
+            raise ValueError(
+                f"block {self._ids[row]} already has a replica on "
+                f"{self.server_ids[server_index]}"
+            )
+        used = int(self._slots_used[row])
+        holders = self._replica_servers[row, :used]
+        former = np.flatnonzero(holders == server_index)
+        if not len(former):
+            self.append_replica(row, server_index, time)
+            return
+        slot = int(former[0])
+        self._replica_healthy[row, slot] = True
+        self._replica_created[row, slot] = time
+        self._healthy_on[server_index][row] = slot
+        self._healthy_count[row] += 1
+
+    def append_replica(self, row: int, server_index: int, time: float) -> None:
+        """Attach a replica of ``row`` on a server that never held one.
+
+        The caller guarantees ``server_index`` is not among
+        :meth:`holders_of` ``(row)``; the replica takes the next free slot.
         """
         used = int(self._slots_used[row])
-        slot = -1
-        if used:
-            for i, existing in enumerate(self._replica_servers[row, :used].tolist()):
-                if existing == server_index:
-                    slot = i
-                    break
-        if slot >= 0:
-            if self._replica_healthy[row, slot]:
-                raise ValueError(
-                    f"block {self._ids[row]} already has a replica on "
-                    f"{self.server_ids[server_index]}"
-                )
-            self._replica_healthy[row, slot] = True
-            self._replica_created[row, slot] = time
-        else:
-            if used == self._replica_servers.shape[1]:
-                self._grow_slots()
-            self._replica_servers[row, used] = server_index
-            self._replica_healthy[row, used] = True
-            self._replica_created[row, used] = time
-            self._slots_used[row] = used + 1
+        if used == self._replica_servers.shape[1]:
+            self._grow_slots()
+        self._replica_servers[row, used] = server_index
+        self._replica_healthy[row, used] = True
+        self._replica_created[row, used] = time
+        self._slots_used[row] = used + 1
+        self._healthy_on[server_index][row] = used
         self._healthy_count[row] += 1
 
     def destroy_replica(self, row: int, server_index: int) -> bool:
@@ -385,21 +403,34 @@ class BlockTable:
         lost once no healthy replica remains (and never clears the flag),
         exactly like ``Block.destroy_replica_on``.
         """
-        used = int(self._slots_used[row])
-        if not used:
+        slot = self._healthy_on[server_index].pop(row, None)
+        if slot is None:
             return False
-        # A server occupies at most one slot, so find it first and only then
-        # consult liveness.
-        for slot, existing in enumerate(self._replica_servers[row, :used].tolist()):
-            if existing == server_index:
-                if not self._replica_healthy[row, slot]:
-                    return False
-                self._replica_healthy[row, slot] = False
-                self._healthy_count[row] -= 1
-                if self._healthy_count[row] == 0:
-                    self._lost[row] = True
-                return True
-        return False
+        self._replica_healthy[row, slot] = False
+        self._healthy_count[row] -= 1
+        if self._healthy_count[row] == 0:
+            self._lost[row] = True
+        return True
+
+    def destroy_server(self, server_index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Destroy every healthy replica on ``server_index`` (a reimage).
+
+        One column update over the server's index entries has the effect of
+        :meth:`destroy_replica` on each of them.  Returns ``(rows,
+        newly_lost)``: the rows that lost a replica, in no particular order,
+        and a mask over them of the rows this call marked lost.
+        """
+        index = self._healthy_on[server_index]
+        rows = np.fromiter(index.keys(), dtype=np.int64, count=len(index))
+        slots = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+        index.clear()
+        # A server holds at most one healthy replica of a block, so ``rows``
+        # has no repeats and the fancy-indexed updates below are exact.
+        self._replica_healthy[rows, slots] = False
+        self._healthy_count[rows] -= 1
+        newly_lost = (self._healthy_count[rows] == 0) & ~self._lost[rows]
+        self._lost[rows[newly_lost]] = True
+        return rows, newly_lost
 
     def record_access(self, row: int) -> None:
         """Bump the access counter of one row."""

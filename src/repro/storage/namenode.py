@@ -14,10 +14,11 @@ Three awareness levels match the paper's HDFS variants:
 
 All block state lives in a columnar :class:`~repro.storage.block_table
 .BlockTable` (one numpy row per block); the hot paths — creation, batched
-access checking, reimage replay, and recovery candidate picks — run as mask
-reductions over it, while :attr:`blocks` hands out per-object
-:class:`~repro.storage.block.BlockView` wrappers that read and write the
-same arrays.  Every array expression reproduces the scalar arithmetic and
+access checking, reimage replay (one column update over the reimaged
+server's replica index), and recovery candidate picks (one masked
+``nonzero`` per pick) — run as array operations over it, while
+:attr:`blocks` hands out per-object :class:`~repro.storage.block.BlockView`
+wrappers that read and write the same arrays.  Every array expression reproduces the scalar arithmetic and
 random-draw ordering of the per-object path it replaced, so fixed seeds
 yield bit-identical experiment results
 (see ``tests/test_storage_block_table.py``).
@@ -279,7 +280,7 @@ class NameNode:
                 continue
             row = self._table.append(block_id, size_gb, replication)
             for server_index in chosen:
-                self._store_replica_at(row, server_index, time)
+                self._store_replica_at(row, server_index, size_gb, time)
                 free = float(
                     self._server_capacity[server_index]
                     - self._server_used[server_index]
@@ -345,13 +346,16 @@ class NameNode:
         )
         return [self._index_of_server[sid] for sid in chosen]
 
-    def _store_replica_at(self, row: int, server_index: int, time: float) -> None:
-        size_gb = self._table.size_of(row)
+    def _store_replica_at(
+        self, row: int, server_index: int, size_gb: float, time: float
+    ) -> None:
         datanode = self._datanode_list[server_index]
         datanode.store_replica_id(self._table.id_of(row), size_gb)
         self._server_used[server_index] += size_gb
         self._healthy_server_count = None
-        self._table.add_replica(row, server_index, time)
+        # Creation fills a fresh row and recovery excludes every former
+        # holder, so the replica never reuses a slot.
+        self._table.append_replica(row, server_index, time)
 
     def _busy_mask(self, time: float) -> np.ndarray:
         """Per-server busy flags, evaluated as one trace-matrix gather."""
@@ -531,39 +535,44 @@ class NameNode:
         datanode = self._datanodes.get(server_id)
         if datanode is None:
             return []
-        affected = datanode.reimage()
+        datanode.reimage()
         server_index = self._index_of_server[server_id]
         self._server_used[server_index] = 0.0
         self._healthy_server_count = None
         table = self._table
-        newly_lost: List[str] = []
-        # The DataNode reports its wiped replicas as a set; iterate in sorted
-        # order so the re-replication queue (and every random draw downstream
-        # of it) does not depend on the process's string-hash seed.
-        for block_id in sorted(affected):
-            row = table.get_row(block_id)
-            if row is None:
-                continue
-            was_lost = table.is_lost(row)
-            table.destroy_replica(row, server_index)
-            now_lost = table.is_lost(row)
-            if now_lost and not was_lost:
-                newly_lost.append(block_id)
-                self._replication.discard(block_id)
-            elif not now_lost:
-                self._replication.enqueue(block_id)
+        rows, newly_lost_mask = table.destroy_server(server_index)
+        if not len(rows):
+            return []
+        lost_now = table.lost[rows].tolist()
+        newly = newly_lost_mask.tolist()
+        # Enqueue in block-id order, so the re-replication queue (and every
+        # random draw downstream of it) follows the string order of the ids
+        # and never the order the per-server index happens to hold.
+        hit = sorted(
+            (table.id_of(row), i) for i, row in enumerate(rows.tolist())
+        )
+        newly_lost = [block_id for block_id, i in hit if newly[i]]
+        for block_id in newly_lost:
+            self._replication.discard(block_id)
+        self._replication.enqueue_many(
+            block_id for block_id, i in hit if not lost_now[i]
+        )
         if newly_lost:
             self.metrics.counter("blocks_lost").increment(len(newly_lost))
-        if affected:
-            self.metrics.counter("reimages_processed").increment()
+        self.metrics.counter("reimages_processed").increment()
         return newly_lost
 
     def run_replication(self, time: float) -> int:
         """Re-create replicas for queued blocks, subject to the rate limit.
 
         Returns the number of replicas restored in this round.  The busy
-        mask (a pure function of ``time``) is evaluated once; the space mask
-        is refreshed per pick as restored replicas consume space.
+        mask (a pure function of ``time``) is evaluated once; each block size
+        keeps one viable mask (space ∧ ¬busy) per round, permuted into
+        lexicographic server order and refreshed bit-wise as restored
+        replicas consume space.  A pick copies that mask, clears the block's
+        holders (every server that ever held it), and draws uniformly among
+        the remaining set bits — the scalar ``choice(sorted(candidate_ids))``
+        draw, at O(servers) numpy work per pick whatever the holder count.
         """
         if self._healthy_server_count is None:
             # ``max(0, capacity - used) > 0`` is ``capacity - used > 0``; a
@@ -575,80 +584,58 @@ class NameNode:
         if not drained:
             return 0
         table = self._table
+        queued = [
+            (block_id, row)
+            for block_id, row in zip(drained, map(table.get_row, drained))
+            if row is not None
+        ]
+        # A round only adds replicas to the block being restored, and the
+        # drained ids are distinct, so every block's size and shortfall can
+        # be read up front in one gather.
+        rows = np.array([row for _, row in queued], dtype=np.int64)
+        sizes = table.size_gb[rows].tolist()
+        shortfalls = np.where(
+            table.lost[rows],
+            0,
+            table.target_replication[rows] - table.healthy_count[rows],
+        ).tolist()
         busy = self._busy_mask(time) if self._primary_aware else None
-        busy_list = busy.tolist() if busy is not None else None
         order = table.sorted_server_order
-        rank = table.sorted_server_rank.tolist()
-        # Per-round caches: the viable mask (space ∧ ¬busy) is a pure
-        # function of used space once ``time`` is fixed, so it is built once
-        # per block size and refreshed scalar-wise as restored replicas
-        # consume space.  Candidates are kept pre-permuted into
-        # lexicographic order — matching the scalar ``choice(sorted(ids))``
-        # draw — together with an inclusive prefix count of viable slots, so
-        # each pick maps its bounded-integer draw past the block's replica
-        # holders in O(replicas) without allocating a filtered array.
-        cache: Dict[float, tuple] = {}
-
-        def build(size_gb: float) -> tuple:
-            viable = self._space_mask(size_gb)
-            if busy is not None:
-                viable &= ~busy
-            candidates = order[viable[order]]
-            prefix = np.cumsum(viable[order]).tolist()
-            entry = (viable, candidates, viable.tolist(), prefix)
-            cache[size_gb] = entry
-            return entry
-
+        rank = table.sorted_server_rank
+        #: Per block size, viability of each server in lexicographic order.
+        viable_by_size: Dict[float, np.ndarray] = {}
         restored = 0
-        for block_id in drained:
-            row = table.get_row(block_id)
-            if row is None or table.is_lost(row):
+        for (block_id, row), size_gb, shortfall in zip(queued, sizes, shortfalls):
+            if shortfall <= 0:
                 continue
-            size_gb = table.size_of(row)
-            missing = table.missing_of(row)
-            while missing > 0:
-                entry = cache.get(size_gb)
-                if entry is None:
-                    entry = build(size_gb)
-                viable, candidates, viable_list, prefix = entry
-                # Lexicographic positions of this block's holders among the
-                # viable candidates; the draw index skips past them.
-                positions = sorted(
-                    prefix[rank[holder]] - 1
-                    for holder in table.holders_of(row).tolist()
-                    if viable_list[holder]
-                )
-                count = len(candidates) - len(positions)
-                if count <= 0:
+            viable = viable_by_size.get(size_gb)
+            if viable is None:
+                viable = self._space_mask(size_gb)
+                if busy is not None:
+                    viable &= ~busy
+                viable = viable[order]
+                viable_by_size[size_gb] = viable
+            for _ in range(shortfall):
+                open_ = viable.copy()
+                open_[rank[table.holders_of(row)]] = False
+                candidates = open_.nonzero()[0]
+                if not len(candidates):
                     # Out of viable targets; try again on a later round.
                     self._replication.enqueue(block_id)
                     break
-                index = self._rng.integer(0, count)
-                for position in positions:
-                    if position <= index:
-                        index += 1
-                target = int(candidates[index])
-                self._store_replica_at(row, target, time)
+                target = int(order[candidates[self._rng.integer(0, len(candidates))]])
+                self._store_replica_at(row, target, size_gb, time)
                 restored += 1
-                missing -= 1
-                # The store consumed space on ``target``: refresh its bit in
-                # every cached mask, rebuilding only on a flip.
-                free = float(
-                    self._server_capacity[target] - self._server_used[target]
+                # The store consumed space on ``target``: clear its bit in
+                # every mask whose block size no longer fits.  Used space
+                # only grows within a round, so no bit is ever set again.
+                free = max(
+                    0.0,
+                    float(self._server_capacity[target] - self._server_used[target]),
                 )
-                for cached_size in list(cache):
-                    cached_viable = cache[cached_size][0]
-                    still_viable = cached_size <= max(0.0, free) + 1e-9 and not (
-                        busy_list is not None and busy_list[target]
-                    )
-                    if bool(cached_viable[target]) != still_viable:
-                        cached_viable[target] = still_viable
-                        cache[cached_size] = (
-                            cached_viable,
-                            order[cached_viable[order]],
-                            cached_viable.tolist(),
-                            np.cumsum(cached_viable[order]).tolist(),
-                        )
+                for cached_size, cached in viable_by_size.items():
+                    if cached_size > free + 1e-9:
+                        cached[rank[target]] = False
         if restored:
             self.metrics.counter("replicas_restored").increment(restored)
         return restored

@@ -16,7 +16,11 @@ import pytest
 
 from repro.simulation.random import RandomSource
 from repro.storage.block import Block, BlockReplica, BlockView
-from repro.storage.block_table import BlockTable
+from repro.storage.block_table import (
+    DEFAULT_REPLICA_SLOTS,
+    BlockNamespace,
+    BlockTable,
+)
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import AccessResult, NameNode
 from repro.storage.placement_policies import StockPlacementPolicy
@@ -322,6 +326,69 @@ class TestReimageReplicationEquivalence:
         )
 
 
+def round_trip_table(namenode) -> None:
+    """Swap the NameNode's table for its ``to_arrays``/``from_arrays`` rebuild."""
+    restored = BlockTable.from_arrays(namenode.block_table.to_arrays())
+    namenode._table = restored
+    namenode._namespace = BlockNamespace(restored)
+
+
+class TestHeavyChurnEquivalence:
+    """Reimage storms long enough that blocks collect many former holders."""
+
+    STEPS = 24
+
+    def churn(self, namenode, scalar, round_trip_at=None):
+        servers = sorted(namenode.datanodes)
+        rng = RandomSource(8)
+        twin = RandomSource(8)
+        for _ in range(30):
+            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+            scalar.create_block(0.0, creating_server_id=twin.choice(servers))
+        restored = []
+        for step in range(self.STEPS):
+            if step == round_trip_at:
+                round_trip_table(namenode)
+            start = 1000.0 + step * 7200.0
+            victim = servers[(step * 5) % len(servers)]
+            assert namenode.handle_reimage(victim, start) == (
+                scalar.handle_reimage(victim, start)
+            )
+            assert namenode._replication._pending == scalar.manager._pending
+            # Recovery rounds at every phase of the 4-sample busy profiles.
+            for offset in (120.0, 240.0, 360.0, 3600.0):
+                count = namenode.run_replication(start + offset)
+                assert count == scalar.run_replication(start + offset)
+                restored.append(count)
+        return restored
+
+    def assert_same_blocks(self, namenode, scalar):
+        assert list(namenode.blocks) == list(scalar.blocks)
+        for block_id, expected in scalar.blocks.items():
+            assert layout_of(namenode.blocks[block_id]) == layout_of(expected)
+            assert namenode.blocks[block_id].lost == expected.lost
+
+    def test_recovery_under_heavy_churn_matches_scalar(self):
+        namenode, scalar = twin_pair(seed=31)
+        restored = self.churn(namenode, scalar)
+        self.assert_same_blocks(namenode, scalar)
+        assert sum(restored) > 100
+        # Holders crossed the slot-width doubling at least twice.
+        assert int(namenode.block_table.slots_used.max()) > 2 * DEFAULT_REPLICA_SLOTS
+        assert 0 < len(namenode.lost_blocks()) < len(scalar.blocks)
+
+    def test_round_trip_mid_churn_continues_identically(self):
+        namenode, scalar = twin_pair(seed=31)
+        restored = self.churn(namenode, scalar, round_trip_at=self.STEPS // 2)
+        uninterrupted, twin_scalar = twin_pair(seed=31)
+        assert self.churn(uninterrupted, twin_scalar) == restored
+        self.assert_same_blocks(namenode, scalar)
+        assert np.array_equal(
+            namenode.block_table.replica_servers,
+            uninterrupted.block_table.replica_servers,
+        )
+
+
 class TestAccessBatchEquivalence:
     def scalar_minute(self, scalar, block_ids, time, count, rng, column_of):
         """The legacy per-access loop from the fig12 runner."""
@@ -449,6 +516,28 @@ class TestBlockTableUnit:
         assert view == table.view(row)
         assert view.replicas["s-b"].tenant_id == "t1"
         assert view.servers_with_healthy_replicas() == ["s-a", "s-b"]
+
+    def test_destroy_server_matches_per_replica_destroys(self):
+        servers = [f"s{i}" for i in range(5)]
+        tables = [BlockTable(servers, ["t"] * 5) for _ in range(2)]
+        for table in tables:
+            for i in range(12):
+                row = table.append(f"b{i}", 0.25, 3)
+                for server in (i % 5, (i + 1) % 5, (i + 3) % 5):
+                    table.append_replica(row, server, float(i))
+            table.destroy_replica(0, 3)  # already destroyed: not hit again
+            for server in (0, 1):
+                table.destroy_replica(5, server)  # one replica left on 3
+        batched, scalar = tables
+        rows, newly_lost = batched.destroy_server(3)
+        expected_rows = [
+            row for row in range(12) if scalar.destroy_replica(row, 3)
+        ]
+        assert sorted(rows.tolist()) == expected_rows
+        assert rows[newly_lost].tolist() == [5]
+        for name, column in batched.to_arrays().items():
+            assert np.array_equal(column, scalar.to_arrays()[name]), name
+        assert len(batched.destroy_server(3)[0]) == 0  # the index was cleared
 
     def test_sorted_server_order_is_lexicographic(self):
         table = BlockTable(["s-10", "s-2", "s-1"], ["t", "t", "t"])

@@ -14,19 +14,30 @@ from repro.storage.placement_policies import (
     StockPlacementPolicy,
 )
 from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
+from repro.traces.utilization import (
+    SAMPLE_INTERVAL_SECONDS,
+    UtilizationPattern,
+    UtilizationTrace,
+)
 
 
 def make_tenant(
-    tenant_id: str, utilization: float, num_servers: int, environment: str | None = None
+    tenant_id: str,
+    utilization: float | list[float],
+    num_servers: int,
+    environment: str | None = None,
 ) -> PrimaryTenant:
+    """A tenant at a constant ``utilization``, or following a list of samples."""
+    values = (
+        np.asarray(utilization, dtype=float)
+        if isinstance(utilization, list)
+        else np.full(100, utilization)
+    )
     tenant = PrimaryTenant(
         tenant_id=tenant_id,
         environment=environment or f"env-{tenant_id}",
         machine_function="mf",
-        trace=UtilizationTrace(
-            np.full(100, utilization), UtilizationPattern.CONSTANT
-        ),
+        trace=UtilizationTrace(values, UtilizationPattern.CONSTANT),
         pattern=UtilizationPattern.CONSTANT,
     )
     for index in range(num_servers):
@@ -135,23 +146,26 @@ class TestAccess:
         assert namenode.access_block(block.block_id, 0.0) is AccessResult.SERVED
 
     def test_access_unavailable_when_all_replicas_busy(self):
-        namenode, _ = build_cluster({f"t{i}": 0.9 for i in range(4)})
-        # Creation at a time when everything is busy still places (exclusion
-        # may leave the block empty), so create with awareness disabled first.
-        namenode_idle, _ = build_cluster(
-            {f"t{i}": 0.9 for i in range(4)}, primary_aware=False
-        )
-        block = namenode_idle.create_block(0.0).block
-        assert namenode_idle.access_block(block.block_id, 0.0) is AccessResult.SERVED
-
-        # Same layout but primary-aware: all replicas busy -> unavailable.
-        namenode_aware, _ = build_cluster({f"t{i}": 0.9 for i in range(4)})
-        # Place ignoring busyness by creating through the internal API.
-        created = namenode_aware.create_block(0.0)
-        if created.block is None or created.block.healthy_count == 0:
-            pytest.skip("no replicas could be placed in this configuration")
-        outcome = namenode_aware.access_block(created.block.block_id, 0.0)
+        # Every tenant idles through the first half of its trace and is busy
+        # through the second: the block is placed while all servers are idle
+        # and read once all of them are busy.
+        idle_then_busy = [0.1] * 50 + [0.9] * 50
+        busy_time = 60 * SAMPLE_INTERVAL_SECONDS
+        tenants = {f"t{i}": idle_then_busy for i in range(4)}
+        namenode, _ = build_cluster(tenants)
+        block = namenode.create_block(0.0).block
+        assert block is not None and block.healthy_count == 3
+        assert namenode.access_block(block.block_id, 0.0) is AccessResult.SERVED
+        outcome = namenode.access_block(block.block_id, busy_time)
         assert outcome is AccessResult.UNAVAILABLE
+        assert namenode.metrics.counter_value("accesses_failed") == 1
+
+        # A primary-oblivious NameNode serves the same read regardless.
+        oblivious, _ = build_cluster(tenants, primary_aware=False)
+        block = oblivious.create_block(0.0).block
+        assert oblivious.access_block(block.block_id, busy_time) is (
+            AccessResult.SERVED
+        )
 
     def test_unknown_block_raises(self):
         namenode, _ = build_cluster(UTILIZATIONS)
@@ -198,6 +212,36 @@ class TestReimageAndRecovery:
         # Lost blocks are not recovered.
         namenode.run_replication(20_000.0)
         assert block.lost
+
+    def test_recovery_never_targets_a_former_holder(self):
+        """Recovery excludes every server that ever held the block.
+
+        A reimaged server comes back empty, yet stays ineligible for the
+        blocks it once held.  Cycling reimages through one block's holders
+        piles up far more than 8 historical holders (two slot-width
+        doublings); no pick may land on any of them, and once every server
+        has held the block, recovery has nowhere left to go.
+        """
+        namenode, _ = build_cluster(UTILIZATIONS)  # 27 idle servers
+        block = namenode.create_block(0.0).block
+        everyone = set(namenode.datanodes)
+        time = 0.0
+        while set(block.replicas) != everyone:
+            former = set(block.replicas)
+            healthy_before = set(block.servers_with_healthy_replicas())
+            namenode.handle_reimage(sorted(healthy_before)[0], time)
+            time += 3600.0
+            assert namenode.run_replication(time) == 1
+            healthy_after = set(block.servers_with_healthy_replicas())
+            (target,) = healthy_after - healthy_before
+            assert target not in former
+            assert block.healthy_count == 3
+        assert len(block.replicas) == len(everyone) > 8
+
+        namenode.handle_reimage(block.servers_with_healthy_replicas()[0], time)
+        assert namenode.run_replication(time + 3600.0) == 0
+        assert block.healthy_count == 2
+        assert namenode.under_replicated_blocks() == [block]
 
     def test_reimage_of_unknown_server_is_noop(self):
         namenode, _ = build_cluster(UTILIZATIONS)
