@@ -208,6 +208,18 @@ class RandomSource:
         """Vector of uniform draws."""
         return self._rng.uniform(low, high, size=size)
 
+    def integer_array(self, low: int, highs: np.ndarray) -> np.ndarray:
+        """One integer draw in ``[low, highs[i])`` per entry of ``highs``.
+
+        Values and the generator state afterwards are those of calling
+        :meth:`integer` once per entry, in order: numpy draws each element
+        of an array-bounded ``integers`` call with the scalar routine, and
+        an entry with ``highs[i] == low + 1`` returns ``low`` without
+        consuming the stream, as the scalar call does.  Every entry of
+        ``highs`` must exceed ``low``.
+        """
+        return self._rng.integers(low, highs)
+
     def poisson_process(self, rate_per_second: float, duration: float) -> list[float]:
         """Arrival times of a homogeneous Poisson process over ``duration``.
 

@@ -37,7 +37,8 @@ slot (dict overwrite keeps the key position), and ``lost`` is set exactly
 when the last healthy replica dies and never cleared.  The NameNode never
 re-adds a replica on a former holder (recovery excludes every server that
 ever held the block), so its stores append a fresh slot without searching
-(:meth:`BlockTable.append_replica`); only :meth:`BlockTable.add_replica`,
+(:meth:`BlockTable.append_replica`, or :meth:`BlockTable.append_replicas`
+for a recovery pass's whole batch); only :meth:`BlockTable.add_replica`,
 behind the ``BlockView`` API, still looks for a slot to reuse.  The per-object
 :class:`~repro.storage.block.BlockView` API remains as a thin view over the
 rows, so a fixed seed produces bit-identical fig12/fig15/fig16 results
@@ -383,8 +384,8 @@ class BlockTable:
     def append_replica(self, row: int, server_index: int, time: float) -> None:
         """Attach a replica of ``row`` on a server that never held one.
 
-        The caller guarantees ``server_index`` is not among
-        :meth:`holders_of` ``(row)``; the replica takes the next free slot.
+        The caller guarantees ``server_index`` never held a replica of
+        ``row``; the replica takes the next free slot.
         """
         used = int(self._slots_used[row])
         if used == self._replica_servers.shape[1]:
@@ -395,6 +396,46 @@ class BlockTable:
         self._slots_used[row] = used + 1
         self._healthy_on[server_index][row] = used
         self._healthy_count[row] += 1
+
+    def append_replicas(
+        self, rows: np.ndarray, servers: np.ndarray, time: float
+    ) -> None:
+        """:meth:`append_replica` for every ``(rows[i], servers[i])`` pair.
+
+        The same slots, counts and index entries as appending the pairs one
+        by one, in order, as column writes.  A row may appear several times
+        (its replicas take consecutive free slots in batch order); the
+        caller guarantees no pair repeats and no server already held the
+        row.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        servers = np.asarray(servers, dtype=np.int64)
+        count = len(rows)
+        if not count:
+            return
+        # A replica's slot is its row's next free slot plus the number of
+        # earlier entries for the same row in this batch.
+        by_row = np.argsort(rows, kind="stable")
+        sorted_rows = rows[by_row]
+        run_start = np.ones(count, dtype=bool)
+        run_start[1:] = sorted_rows[1:] != sorted_rows[:-1]
+        position = np.arange(count)
+        earlier = position - np.maximum.accumulate(np.where(run_start, position, 0))
+        slots = np.empty(count, dtype=np.int64)
+        slots[by_row] = self._slots_used[sorted_rows] + earlier
+        while int(slots.max()) >= self._replica_servers.shape[1]:
+            self._grow_slots()
+        self._replica_servers[rows, slots] = servers
+        self._replica_healthy[rows, slots] = True
+        self._replica_created[rows, slots] = time
+        np.add.at(self._slots_used, rows, 1)
+        np.add.at(self._healthy_count, rows, 1)
+        # Key the index by each row's own int (the one ``_row_of`` holds),
+        # not a fresh one per replica: a storm cell keeps ~12k alive.
+        row_ints = [self._row_of[self._ids[row]] for row in rows.tolist()]
+        healthy_on = self._healthy_on
+        for server, row, slot in zip(servers.tolist(), row_ints, slots.tolist()):
+            healthy_on[server][row] = slot
 
     def destroy_replica(self, row: int, server_index: int) -> bool:
         """Destroy the replica of block ``row`` on ``server_index`` if healthy.
@@ -446,14 +487,6 @@ class BlockTable:
         """Server indices holding a healthy replica of ``row``, slot order."""
         used = int(self._slots_used[row])
         return self._replica_servers[row, :used][self._replica_healthy[row, :used]]
-
-    def holders_of(self, row: int) -> np.ndarray:
-        """Every server that holds or ever held a replica of ``row``.
-
-        Matches the scalar ``block.replicas.keys()`` — destroyed replicas
-        still exclude their server from recovery placement.
-        """
-        return self._replica_servers[row, : int(self._slots_used[row])]
 
     def missing_of(self, row: int) -> int:
         """How many replicas re-replication still needs to restore."""

@@ -15,10 +15,12 @@ Three awareness levels match the paper's HDFS variants:
 All block state lives in a columnar :class:`~repro.storage.block_table
 .BlockTable` (one numpy row per block); the hot paths — creation, batched
 access checking, reimage replay (one column update over the reimaged
-server's replica index), and recovery candidate picks (one masked
-``nonzero`` per pick) — run as array operations over it, while
-:attr:`blocks` hands out per-object :class:`~repro.storage.block.BlockView`
-wrappers that read and write the same arrays.  Every array expression reproduces the scalar arithmetic and
+server's replica index), and recovery (one array pass per window of a
+round's blocks: an open matrix, one array draw for every pick, one batch
+of column writes, restarted after any store that fills a server) — run as
+array operations over it, while :attr:`blocks` hands out per-object
+:class:`~repro.storage.block.BlockView` wrappers that read and write the
+same arrays.  Every array expression reproduces the scalar arithmetic and
 random-draw ordering of the per-object path it replaced, so fixed seeds
 yield bit-identical experiment results
 (see ``tests/test_storage_block_table.py``).
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +42,41 @@ from repro.storage.datanode import DataNode
 from repro.storage.placement_policies import PlacementContext, PlacementPolicy
 from repro.storage.replication import ReplicationManager
 from repro.traces.matrix import TraceMatrix
+
+#: Cells (blocks x the wider of servers and replica slots) that one
+#: recovery pass may hold in its temporaries; a larger round runs in
+#: several passes over consecutive windows of its blocks.
+RECOVERY_PASS_CELLS = 1 << 16
+
+
+def _take_open_columns(
+    open_: np.ndarray,
+    block_of: np.ndarray,
+    layer: np.ndarray,
+    highs: np.ndarray,
+    draws: np.ndarray,
+) -> np.ndarray:
+    """The open column each pick's draw selects, closing it as it goes.
+
+    Pick ``k`` belongs to row ``block_of[k]``, is that row's
+    ``layer[k]``-th pick, and drew ``draws[k] < highs[k]``.  Picks are
+    resolved one layer at a time, so a row's later picks choose among the
+    columns its earlier picks left open; within a layer each row has
+    exactly ``highs`` open columns, consecutive in the row-major
+    ``flatnonzero`` list of the layer's rows.
+    """
+    width = open_.shape[1]
+    columns = np.empty(len(block_of), dtype=np.int64)
+    for j in range(int(layer.max(initial=-1)) + 1):
+        at = np.flatnonzero(layer == j)
+        rows = block_of[at]
+        open_cells = np.flatnonzero(open_[rows])
+        first = np.cumsum(highs[at]) - highs[at]
+        columns[at] = open_cells[first + draws[at]] - np.arange(
+            0, len(at) * width, width
+        )
+        open_[rows, columns[at]] = False
+    return columns
 
 
 class AccessResult(str, enum.Enum):
@@ -364,8 +401,7 @@ class NameNode:
 
     def _space_mask(self, size_gb: float) -> np.ndarray:
         """Per-server flags for ``DataNode.has_space_for(size_gb)``."""
-        free = np.maximum(0.0, self._server_capacity - self._server_used)
-        return size_gb <= free + 1e-9
+        return self._fits(np.array([size_gb]), self._server_used)[0]
 
     # -- access -------------------------------------------------------------------
 
@@ -565,14 +601,14 @@ class NameNode:
     def run_replication(self, time: float) -> int:
         """Re-create replicas for queued blocks, subject to the rate limit.
 
-        Returns the number of replicas restored in this round.  The busy
-        mask (a pure function of ``time``) is evaluated once; each block size
-        keeps one viable mask (space ∧ ¬busy) per round, permuted into
-        lexicographic server order and refreshed bit-wise as restored
-        replicas consume space.  A pick copies that mask, clears the block's
-        holders (every server that ever held it), and draws uniformly among
-        the remaining set bits — the scalar ``choice(sorted(candidate_ids))``
-        draw, at O(servers) numpy work per pick whatever the holder count.
+        Returns the number of replicas restored in this round.  Each drained
+        block takes up to its shortfall of picks; a pick draws uniformly
+        among the viable servers (space for the block, not busy at ``time``)
+        that never held the block, listed in lexicographic id order — the
+        scalar ``choice(sorted(candidate_ids))`` draw.  A block left without
+        candidates is queued again, in block order.  The busy mask is
+        evaluated once, and the picks run as array passes over windows of
+        the drained blocks (:meth:`_recovery_pass`), not one pick at a time.
         """
         if self._healthy_server_count is None:
             # ``max(0, capacity - used) > 0`` is ``capacity - used > 0``; a
@@ -590,55 +626,173 @@ class NameNode:
             if row is not None
         ]
         # A round only adds replicas to the block being restored, and the
-        # drained ids are distinct, so every block's size and shortfall can
-        # be read up front in one gather.
+        # drained ids are distinct, so every block's shortfall can be read
+        # up front in one gather.
         rows = np.array([row for _, row in queued], dtype=np.int64)
-        sizes = table.size_gb[rows].tolist()
-        shortfalls = np.where(
+        shortfall = np.where(
             table.lost[rows],
             0,
             table.target_replication[rows] - table.healthy_count[rows],
-        ).tolist()
+        )
+        wanted = np.flatnonzero(shortfall > 0)
+        block_ids = [queued[i][0] for i in wanted.tolist()]
+        rows, shortfall = rows[wanted], shortfall[wanted]
         busy = self._busy_mask(time) if self._primary_aware else None
-        order = table.sorted_server_order
-        rank = table.sorted_server_rank
-        #: Per block size, viability of each server in lexicographic order.
-        viable_by_size: Dict[float, np.ndarray] = {}
-        restored = 0
-        for (block_id, row), size_gb, shortfall in zip(queued, sizes, shortfalls):
-            if shortfall <= 0:
-                continue
-            viable = viable_by_size.get(size_gb)
-            if viable is None:
-                viable = self._space_mask(size_gb)
-                if busy is not None:
-                    viable &= ~busy
-                viable = viable[order]
-                viable_by_size[size_gb] = viable
-            for _ in range(shortfall):
-                open_ = viable.copy()
-                open_[rank[table.holders_of(row)]] = False
-                candidates = open_.nonzero()[0]
-                if not len(candidates):
-                    # Out of viable targets; try again on a later round.
-                    self._replication.enqueue(block_id)
-                    break
-                target = int(order[candidates[self._rng.integer(0, len(candidates))]])
-                self._store_replica_at(row, target, size_gb, time)
-                restored += 1
-                # The store consumed space on ``target``: clear its bit in
-                # every mask whose block size no longer fits.  Used space
-                # only grows within a round, so no bit is ever set again.
-                free = max(
-                    0.0,
-                    float(self._server_capacity[target] - self._server_used[target]),
-                )
-                for cached_size, cached in viable_by_size.items():
-                    if cached_size > free + 1e-9:
-                        cached[rank[target]] = False
+        # Bound the pass temporaries: (blocks x servers) masks and open-cell
+        # lists, and (blocks x slots) holder gathers.
+        width = max(table.num_servers + 1, table.replica_servers.shape[1])
+        window = max(1, RECOVERY_PASS_CELLS // width)
+        restored = start = 0
+        while start < len(rows):
+            stop = min(len(rows), start + window)
+            count, start = self._recovery_pass(
+                block_ids, rows, shortfall, start, stop, busy, time
+            )
+            restored += count
         if restored:
             self.metrics.counter("replicas_restored").increment(restored)
         return restored
+
+    def _recovery_pass(
+        self,
+        block_ids: List[str],
+        rows: np.ndarray,
+        shortfall: np.ndarray,
+        start: int,
+        stop: int,
+        busy: Optional[np.ndarray],
+        time: float,
+    ) -> Tuple[int, int]:
+        """Restore the replicas of round blocks ``start:stop`` in one pass.
+
+        Builds the window's ``(blocks x servers)`` open matrix in
+        lexicographic server order — viable for the block's size, holders
+        cleared — and draws every pick's index in one call, bounded by
+        ``count - j`` for a block's ``j``-th pick in block-major order (a
+        block with fewer candidates than its shortfall draws ``count``
+        times and is queued again).  The draws are mapped to servers one
+        pick layer at a time, so a block's later picks exclude its earlier
+        ones, and the stores are committed as column writes.
+
+        Viability depends on used space, so a store that takes a server
+        below the threshold of a block size in the window ends the pass:
+        the picks up to and including it are committed, the generator is
+        rewound to just after its draw, and the caller restarts from the
+        next pick (``shortfall`` of a part-restored block is reduced in
+        place).  Returns ``(restored, resume)``, where ``resume`` is the
+        first block of the round still to be processed.
+        """
+        table = self._table
+        window_rows = rows[start:stop]
+        want = shortfall[start:stop]
+        sizes = table.size_gb[window_rows]
+        size_values, size_of_block = np.unique(sizes, return_inverse=True)
+        fits = self._fits(size_values, self._server_used)
+        if busy is not None:
+            fits &= ~busy
+        open_ = self._open_candidates(
+            window_rows, fits[:, table.sorted_server_order], size_of_block
+        )
+        counts = open_.sum(axis=1)
+        picks = np.minimum(want, counts)
+        total = int(picks.sum())
+        block_of = np.repeat(np.arange(len(window_rows)), picks)
+        layer = np.arange(total) - np.repeat(np.cumsum(picks) - picks, picks)
+        highs = counts[block_of] - layer
+        bit_generator = self._rng.generator.bit_generator
+        before_draws = bit_generator.state
+        draws = self._rng.integer_array(0, highs)
+        columns = _take_open_columns(open_, block_of, layer, highs, draws)
+        # Free the matrix before the stores, which may widen the slot matrices.
+        del open_
+        targets = table.sorted_server_order[columns]
+        pick_sizes = sizes[block_of]
+
+        used = self._server_used.copy()
+        np.add.at(used, targets, pick_sizes)
+        flipped = (fits & ~self._fits(size_values, used)).any(axis=0)
+        commit = total
+        if flipped.any():
+            commit = self._first_flip(targets, pick_sizes, size_values, flipped) + 1
+            bit_generator.state = before_draws
+            self._rng.integer_array(0, highs[:commit])
+            used = self._server_used.copy()
+            np.add.at(used, targets[:commit], pick_sizes[:commit])
+
+        stored_rows = window_rows[block_of[:commit]]
+        datanodes = self._datanode_list
+        for server, block_id, size_gb in zip(
+            targets[:commit].tolist(),
+            map(table.id_of, stored_rows.tolist()),
+            pick_sizes[:commit].tolist(),
+        ):
+            datanodes[server].store_replica_id(block_id, size_gb)
+        table.append_replicas(stored_rows, targets[:commit], time)
+        self._server_used[:] = used
+        if commit:
+            self._healthy_server_count = None
+
+        done = len(window_rows)
+        if commit < total:
+            done = int(block_of[commit - 1])
+        # Blocks finished in this pass that ran out of candidates.
+        for i in np.flatnonzero(picks[:done] < want[:done]).tolist():
+            self._replication.enqueue(block_ids[start + i])
+        if commit < total:
+            shortfall[start + done] -= int(layer[commit - 1]) + 1
+        return commit, start + done
+
+    def _open_candidates(
+        self, rows: np.ndarray, viable: np.ndarray, size_of: np.ndarray
+    ) -> np.ndarray:
+        """``(blocks x servers + 1)`` recovery candidates of ``rows``.
+
+        Row ``i`` is ``viable[size_of[i]]`` (a viable mask in lexicographic
+        server order) with every server that ever held the block cleared;
+        the extra last column absorbs the ``-1`` padding of the holder slots
+        and is never open.
+        """
+        table = self._table
+        servers = table.num_servers
+        padded = np.zeros((len(viable), servers + 1), dtype=bool)
+        padded[:, :servers] = viable
+        open_ = padded[size_of]
+        rank = np.append(table.sorted_server_rank, servers)
+        held = rank[table.replica_servers[rows, : int(table.slots_used[rows].max())]]
+        held += np.arange(0, open_.size, servers + 1)[:, None]
+        open_.reshape(-1)[held.reshape(-1)] = False
+        return open_
+
+    def _fits(self, size_values: np.ndarray, used: np.ndarray) -> np.ndarray:
+        """``(sizes x servers)`` ``DataNode.has_space_for`` flags under ``used``."""
+        free = np.maximum(0.0, self._server_capacity - used)
+        return size_values[:, None] <= free + 1e-9
+
+    def _first_flip(
+        self,
+        targets: np.ndarray,
+        sizes: np.ndarray,
+        size_values: np.ndarray,
+        flipped: np.ndarray,
+    ) -> int:
+        """Index of the first store that leaves a block size no longer fitting.
+
+        ``flipped`` marks the servers where some size in ``size_values``
+        fits before the stores and not after them; replaying the stores on
+        those servers in order, with the same float accumulation as the
+        commit, finds the earliest one that crossed a threshold.
+        """
+        capacity = self._server_capacity
+        used = self._server_used.copy()
+        for k in np.flatnonzero(flipped[targets]).tolist():
+            target = int(targets[k])
+            before = max(0.0, float(capacity[target] - used[target]))
+            used[target] += sizes[k]
+            after = max(0.0, float(capacity[target] - used[target]))
+            for size_gb in size_values.tolist():
+                if size_gb <= before + 1e-9 and not size_gb <= after + 1e-9:
+                    return k
+        raise AssertionError("a flipped server saw no threshold crossing")
 
     # -- statistics -------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +149,33 @@ class TestPoissonProcessChunking:
         assert rng.poisson_process(0.0, 100.0) == []
         assert rng.poisson_process(1.0, 0.0) == []
         assert rng.uniform() == untouched.uniform()
+
+
+class TestIntegerArray:
+    """``integer_array`` is a loop of ``integer`` calls, stream position included."""
+
+    def test_matches_scalar_loop_and_generator_state(self):
+        bounds = RandomSource(99)
+        for seed in range(30):
+            highs = bounds.generator.integers(1, 400, size=int(bounds.integer(0, 40)))
+            # Highs of 1 leave one value, so neither form consumes a draw.
+            highs[bounds.generator.random(len(highs)) < 0.3] = 1
+            scalar = RandomSource(seed)
+            batched = RandomSource(seed)
+            # Start mid-way through a buffered 32-bit word.
+            scalar.integer(0, 5)
+            batched.integer(0, 5)
+            expected = [scalar.integer(0, int(high)) for high in highs]
+            got = batched.integer_array(0, highs)
+            assert got.tolist() == expected, seed
+            assert (
+                batched.generator.bit_generator.state
+                == scalar.generator.bit_generator.state
+            ), seed
+
+    def test_all_ones_and_empty_consume_nothing(self):
+        rng = RandomSource(4)
+        before = rng.generator.bit_generator.state
+        assert rng.integer_array(0, np.ones(6, dtype=np.int64)).tolist() == [0] * 6
+        assert rng.integer_array(0, np.empty(0, dtype=np.int64)).tolist() == []
+        assert rng.generator.bit_generator.state == before

@@ -215,7 +215,7 @@ class TestBlockTableRoundTrip:
                 table.add_replica(row, int(server), float(i))
         # Exercise the sticky-lost / slot-reuse paths before serializing.
         for row in range(0, 40, 7):
-            for server in list(table.holders_of(row)):
+            for server in table.healthy_servers_of(row).tolist():
                 table.destroy_replica(row, int(server))
         table.record_accesses(np.arange(0, 40, 3))
         return table

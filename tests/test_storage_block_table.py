@@ -29,7 +29,9 @@ from repro.traces.datacenter import PrimaryTenant, Server
 from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
 
-def make_tenant(tenant_id: str, values, num_servers: int) -> PrimaryTenant:
+def make_tenant(
+    tenant_id: str, values, num_servers: int, capacity_gb: float = 8.0
+) -> PrimaryTenant:
     tenant = PrimaryTenant(
         tenant_id=tenant_id,
         environment=f"env-{tenant_id}",
@@ -45,7 +47,7 @@ def make_tenant(tenant_id: str, values, num_servers: int) -> PrimaryTenant:
                 server_id=f"{tenant_id}-s{index}",
                 tenant_id=tenant_id,
                 rack=f"rack-{index % 3}",
-                harvestable_disk_gb=8.0,
+                harvestable_disk_gb=capacity_gb,
             )
         )
     return tenant
@@ -60,8 +62,10 @@ PROFILES = {
 }
 
 
-def make_datanodes(primary_aware: bool = True):
-    tenants = [make_tenant(tid, values, 3) for tid, values in PROFILES.items()]
+def make_datanodes(primary_aware: bool = True, capacity_gb: float = 8.0):
+    tenants = [
+        make_tenant(tid, values, 3, capacity_gb) for tid, values in PROFILES.items()
+    ]
     return [
         DataNode(server=s, tenant=t, primary_aware=primary_aware)
         for t in tenants
@@ -69,9 +73,11 @@ def make_datanodes(primary_aware: bool = True):
     ]
 
 
-def build_namenode(seed: int = 1, primary_aware: bool = True) -> NameNode:
+def build_namenode(
+    seed: int = 1, primary_aware: bool = True, capacity_gb: float = 8.0
+) -> NameNode:
     return NameNode(
-        make_datanodes(primary_aware),
+        make_datanodes(primary_aware, capacity_gb),
         StockPlacementPolicy(rng=RandomSource(seed)),
         primary_aware=primary_aware,
         rng=RandomSource(seed + 1),
@@ -90,6 +96,8 @@ class ScalarNameNode:
         self.blocks: dict[str, Block] = {}
         self.counter = 0
         self.manager = ReplicationManager()
+        #: ``(time, size, missing, candidates)`` of every recovery pick.
+        self.picks: list[tuple[float, float, int, int]] = []
 
     def create_block(self, time, creating_server_id=None, size_gb=0.25):
         self.counter += 1
@@ -192,16 +200,19 @@ class ScalarNameNode:
             and not (self.primary_aware and dn.is_busy(time))
             and sid not in holders
         )
+        self.picks.append(
+            (time, block.size_gb, block.missing_replicas, len(candidates))
+        )
         if not candidates:
             return None
         return self.rng.choice(candidates)
 
 
-def twin_pair(seed=1, primary_aware=True):
+def twin_pair(seed=1, primary_aware=True, capacity_gb=8.0):
     """A columnar NameNode and the scalar oracle on identical twin fleets."""
-    namenode = build_namenode(seed, primary_aware)
+    namenode = build_namenode(seed, primary_aware, capacity_gb)
     scalar = ScalarNameNode(
-        make_datanodes(primary_aware),
+        make_datanodes(primary_aware, capacity_gb),
         StockPlacementPolicy(rng=RandomSource(seed)),
         primary_aware=primary_aware,
         rng=RandomSource(seed + 1),
@@ -389,6 +400,83 @@ class TestHeavyChurnEquivalence:
         )
 
 
+class TestSpaceFlipEquivalence:
+    """Recovery that fills servers mid-round, with two block sizes.
+
+    With 1 GB quotas a store often takes a server below a block size's
+    threshold in the middle of a round; the array pass must then commit up
+    to that store, rewind the generator and restart, landing exactly where
+    the scalar pick-by-pick loop does.
+    """
+
+    def churn(self, namenode, scalar):
+        servers = sorted(namenode.datanodes)
+        rng = RandomSource(101)
+        twin = RandomSource(101)
+        for i in range(16):
+            # Sizes alternate, so the queue interleaves them and a round's
+            # second size is first seen after stores have used space.
+            size = (0.25, 0.5)[i % 2]
+            namenode.create_block(
+                0.0, creating_server_id=rng.choice(servers), size_gb=size
+            )
+            scalar.create_block(
+                0.0, creating_server_id=twin.choice(servers), size_gb=size
+            )
+        for step in range(24):
+            start = 1000.0 + step * 7200.0
+            victim = servers[(step * 7) % len(servers)]
+            assert namenode.handle_reimage(victim, start) == (
+                scalar.handle_reimage(victim, start)
+            )
+            for offset in (120.0, 240.0, 360.0, 3600.0):
+                time = start + offset
+                assert namenode.run_replication(time) == scalar.run_replication(time)
+                assert namenode._replication._pending == scalar.manager._pending
+                assert (
+                    namenode._rng.generator.bit_generator.state
+                    == scalar.rng.generator.bit_generator.state
+                )
+
+    def test_tight_quotas_match_scalar(self, monkeypatch):
+        flips = []
+        first_flip = NameNode._first_flip
+
+        def spy(self, *args):
+            flips.append(first_flip(self, *args))
+            return flips[-1]
+
+        monkeypatch.setattr(NameNode, "_first_flip", spy)
+        namenode, scalar = twin_pair(seed=1, capacity_gb=1.0)
+        self.churn(namenode, scalar)
+        assert list(namenode.blocks) == list(scalar.blocks)
+        for block_id, expected in scalar.blocks.items():
+            assert layout_of(namenode.blocks[block_id]) == layout_of(expected)
+            assert namenode.blocks[block_id].lost == expected.lost
+        # The paths under test all ran: mid-round flips, ...
+        assert len(flips) > 10
+        # ... a block short of two replicas with a single candidate ...
+        assert any(
+            missing == 2 and candidates == 1
+            for _, _, missing, candidates in scalar.picks
+        )
+        # ... and rounds whose second block size came after a store.
+        rounds: dict[float, list[tuple[float, int]]] = {}
+        for time, size_gb, _, candidates in scalar.picks:
+            rounds.setdefault(time, []).append((size_gb, candidates))
+
+        def new_size_after_store(picks):
+            seen, stored = set(), False
+            for size_gb, candidates in picks:
+                if stored and size_gb not in seen:
+                    return True
+                seen.add(size_gb)
+                stored = stored or candidates > 0
+            return False
+
+        assert sum(map(new_size_after_store, rounds.values())) > 5
+
+
 class TestAccessBatchEquivalence:
     def scalar_minute(self, scalar, block_ids, time, count, rng, column_of):
         """The legacy per-access loop from the fig12 runner."""
@@ -538,6 +626,39 @@ class TestBlockTableUnit:
         for name, column in batched.to_arrays().items():
             assert np.array_equal(column, scalar.to_arrays()[name]), name
         assert len(batched.destroy_server(3)[0]) == 0  # the index was cleared
+
+    def test_append_replicas_matches_sequential_appends(self):
+        servers = [f"s{i}" for i in range(12)]
+        batched, sequential = (BlockTable(servers, ["t"] * 12) for _ in range(2))
+        for table in (batched, sequential):
+            for i in range(6):
+                row = table.append(f"b{i}", 0.25, 3)
+                table.append_replica(row, i, 0.0)
+            table.destroy_replica(2, 2)
+
+        def apply(rows, targets, time):
+            batched.append_replicas(np.array(rows), np.array(targets), time)
+            for row, server in zip(rows, targets):
+                sequential.append_replica(row, server, time)
+
+        def assert_same():
+            for name, column in sequential.to_arrays().items():
+                assert np.array_equal(batched.to_arrays()[name], column), name
+            assert batched._healthy_on == sequential._healthy_on
+
+        # Row 1 gets two replicas in one batch; row 2 regains one after a loss.
+        apply([1, 3, 1, 2], [7, 8, 9, 10], 5.0)
+        assert_same()
+        assert sequential.healthy_servers_of(1).tolist() == [1, 7, 9]
+        # The rebuilt table continues like the original, through a batch
+        # that widens the slots (row 0 takes ten more replicas in one go).
+        batched = BlockTable.from_arrays(batched.to_arrays())
+        assert_same()
+        width = batched.replica_servers.shape[1]
+        apply([0] * 10 + [5], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 9.0)
+        assert batched.replica_servers.shape[1] > width
+        assert_same()
+        assert int(batched.slots_used[0]) == 11
 
     def test_sorted_server_order_is_lexicographic(self):
         table = BlockTable(["s-10", "s-2", "s-1"], ["t", "t", "t"])
